@@ -88,6 +88,7 @@ void ConfigureModel(const Rum& rum, const TrainerOptions& options, FemuxModel* m
 struct AppBlockRows {
   std::vector<std::vector<double>> rum;       // [block][candidate]
   std::vector<std::vector<double>> features;  // [block][feature]
+  double feature_seconds = 0.0;  // Thread-seconds of feature extraction.
 };
 
 AppBlockRows BuildAppBlockRows(const AppTrace& app, int app_index,
@@ -116,6 +117,7 @@ AppBlockRows BuildAppBlockRows(const AppTrace& app, int app_index,
   AppBlockRows out;
   out.rum.assign(blocks, std::vector<double>(num_candidates, 0.0));
   out.features.resize(blocks);
+  std::vector<double> block_feature_seconds(blocks, 0.0);
   const std::span<const double> demand_span(demand);
   const std::span<const double> arrivals_span(arrivals);
   // Blocks fan out below the app level (nested submission is safe on
@@ -145,11 +147,16 @@ AppBlockRows BuildAppBlockRows(const AppTrace& app, int app_index,
                 BlockRum(rum, demand_block, arrivals_block, scaled_plan, sim);
           }
         }
+        const auto feature_start = std::chrono::steady_clock::now();
         extractor.ExtractInto(demand_block,
                               exec_aware ? app.mean_execution_ms : 0.0, &workspace);
         out.features[b] = workspace.out;
+        block_feature_seconds[b] = SecondsSince(feature_start);
       },
       options.threads);
+  for (const double seconds : block_feature_seconds) {
+    out.feature_seconds += seconds;
+  }
   return out;
 }
 
@@ -210,7 +217,7 @@ double BlockRum(const Rum& rum, std::span<const double> demand_block,
 
 BlockTable BuildBlockTable(const Dataset& dataset, const std::vector<int>& app_indices,
                            const Rum& rum, const TrainerOptions& options,
-                           FemuxModel* model_config) {
+                           FemuxModel* model_config, double* feature_seconds) {
   FemuxModel local;
   FemuxModel& model = model_config != nullptr ? *model_config : local;
   ConfigureModel(rum, options, &model);
@@ -224,6 +231,7 @@ BlockTable BuildBlockTable(const Dataset& dataset, const std::vector<int>& app_i
   const bool exec_aware = IsExecAware(model);
   const FeatureExtractor extractor(model.features, model.feature_mode);
 
+  std::vector<double> app_feature_seconds(num_apps, 0.0);
   ParallelFor(
       num_apps,
       [&](std::size_t a) {
@@ -232,8 +240,15 @@ BlockTable BuildBlockTable(const Dataset& dataset, const std::vector<int>& app_i
                                               options, extractor, exec_aware);
         table.rum[a] = std::move(rows.rum);
         table.features[a] = std::move(rows.features);
+        app_feature_seconds[a] = rows.feature_seconds;
       },
       options.threads);
+  if (feature_seconds != nullptr) {
+    *feature_seconds = 0.0;
+    for (const double seconds : app_feature_seconds) {
+      *feature_seconds += seconds;
+    }
+  }
   return table;
 }
 
@@ -418,7 +433,8 @@ TrainResult TrainFemux(const Dataset& dataset, const std::vector<int>& app_indic
                        const Rum& rum, const TrainerOptions& options) {
   TrainResult result;
   const auto sim_start = std::chrono::steady_clock::now();
-  result.table = BuildBlockTable(dataset, app_indices, rum, options, &result.model);
+  result.table = BuildBlockTable(dataset, app_indices, rum, options, &result.model,
+                                 &result.feature_extraction_seconds);
   result.forecast_sim_seconds = SecondsSince(sim_start);
 
   const auto cluster_start = std::chrono::steady_clock::now();
@@ -526,7 +542,8 @@ TrainResult RetrainWithNewApps(const TrainResult& previous, const Dataset& datas
 
   const auto sim_start = std::chrono::steady_clock::now();
   const BlockTable extra =
-      BuildBlockTable(dataset, new_app_indices, rum, options, nullptr);
+      BuildBlockTable(dataset, new_app_indices, rum, options, nullptr,
+                      &result.feature_extraction_seconds);
   result.forecast_sim_seconds = SecondsSince(sim_start);
   MergeBlockTables(&result.table, extra);
 

@@ -93,6 +93,8 @@ struct TrainResult {
   BlockTable table;
   std::vector<std::size_t> cluster_sizes;
   double forecast_sim_seconds = 0.0;
+  // Thread-seconds spent extracting block features, summed over apps (a
+  // part of forecast_sim_seconds' wall time, not in addition to it).
   double feature_extraction_seconds = 0.0;
   double clustering_seconds = 0.0;
 };
@@ -102,9 +104,12 @@ TrainResult TrainFemux(const Dataset& dataset, const std::vector<int>& app_indic
 
 // Builds only the block table (plans, per-block RUMs, features) without
 // fitting a classifier. TrainFemux = BuildBlockTable + FitFromTable.
+// `feature_seconds`, when set, receives the feature-extraction thread-seconds
+// summed over apps.
 BlockTable BuildBlockTable(const Dataset& dataset, const std::vector<int>& app_indices,
                            const Rum& rum, const TrainerOptions& options,
-                           FemuxModel* model_config);
+                           FemuxModel* model_config,
+                           double* feature_seconds = nullptr);
 
 // (Re)fits the classifier of `model` from a block table. This is the cheap
 // phase (§4.3.6: clustering takes minutes even at fleet scale), which makes

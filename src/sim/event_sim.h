@@ -53,7 +53,7 @@ class FixedIdlePolicy final : public IdlePolicy {
  public:
   explicit FixedIdlePolicy(double keep_alive_ms);
   std::string_view name() const override { return "fixed_keep_alive"; }
-  void ObserveArrival(double idle_gap_ms) override {}
+  void ObserveArrival(double /*idle_gap_ms*/) override {}
   IdleDecision OnContainerIdle() override;
   std::unique_ptr<IdlePolicy> Clone() const override;
 

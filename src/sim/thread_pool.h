@@ -9,7 +9,11 @@
 // Key properties:
 //  - Work is claimed in contiguous chunks (~4 chunks per participant)
 //    instead of one atomic fetch per item, so tiny loop bodies are not
-//    dominated by synchronization.
+//    dominated by synchronization. The ordered chunk fold
+//    (src/sim/stream_fold.h) does not run on these claims: it submits one
+//    item per participant and hands out chunk tickets in fold-frontier
+//    order itself, because a contiguous claim would park every worker but
+//    the frontier's behind the fold's pending bound.
 //  - The calling thread always participates in its own region, which makes
 //    nested/reentrant submission safe: a pooled task may itself call
 //    ParallelFor (BuildBlockTable parallelizes over apps while a bench

@@ -150,5 +150,14 @@ TEST(TrainerParityTest, TrainingIsDeterministicUnderFemuxThreads1) {
   ExpectTablesEqual(serial, parallel);
 }
 
+TEST(TrainerTimingTest, TrainFemuxRecordsFeatureExtractionSeconds) {
+  // Thread-seconds summed over apps; bench reports read this field.
+  const Dataset dataset = TinyDataset();
+  const TrainResult trained =
+      TrainFemux(dataset, AllApps(dataset), Rum::Default(), FastOptions());
+  EXPECT_GT(trained.feature_extraction_seconds, 0.0);
+  EXPECT_GT(trained.forecast_sim_seconds, 0.0);
+}
+
 }  // namespace
 }  // namespace femux

@@ -129,9 +129,9 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Signal::kConstant, Signal::kRamp,
                                          Signal::kSine, Signal::kNoise,
                                          Signal::kOnOff)),
-    [](const ::testing::TestParamInfo<Param>& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
-             SignalName(std::get<1>(info.param));
+    [](const ::testing::TestParamInfo<Param>& param_info) {
+      return std::string(std::get<0>(param_info.param)) + "_" +
+             SignalName(std::get<1>(param_info.param));
     });
 
 }  // namespace

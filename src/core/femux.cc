@@ -10,45 +10,27 @@ FemuxPolicy::FemuxPolicy(std::shared_ptr<const FemuxModel> model,
     : model_(std::move(model)),
       extractor_(model_->features, model_->feature_mode),
       mean_execution_ms_(mean_execution_ms), margin_(margin) {
-  if (model_->feature_mode == FeatureMode::kExact) {
-    block_buffer_.reserve(model_->block_minutes);
-  }
   current_index_ = model_->default_forecaster;
   forecaster_ = model_->MakeForecaster(current_index_);
   if (!model_->margins.empty()) {
     selected_margin_ =
         model_->margins[static_cast<std::size_t>(model_->default_margin)];
   }
-  // Ring capacity: the largest effective window any forecaster in the set
-  // would use, so a block switch can warm-seed whichever forecaster the
-  // classifier picks next.
-  ring_capacity_ = kDefaultHistoryMinutes;
-  for (std::size_t i = 0; i < model_->forecaster_names.size(); ++i) {
-    const std::unique_ptr<Forecaster> f =
-        model_->MakeForecaster(static_cast<int>(i));
-    if (f != nullptr) {
-      ring_capacity_ = std::max(ring_capacity_, f->preferred_history());
-    }
-  }
-  series_ring_.reserve(2 * ring_capacity_);
 }
 
-std::span<const double> FemuxPolicy::RingWindow() const {
-  const std::size_t len = std::min(series_ring_.size(), ring_capacity_);
-  return std::span<const double>(series_ring_).last(len);
-}
-
-void FemuxPolicy::CompleteBlock() {
+void FemuxPolicy::CompleteBlock(std::span<const double> demand_history) {
   std::vector<double> raw;
   if (model_->feature_mode == FeatureMode::kSketch) {
     FeatureExtractor::Workspace workspace;
     extractor_.ExtractSketchInto(block_sketch_, mean_execution_ms_, &workspace);
     raw = std::move(workspace.out);
     block_sketch_.Reset();
-    block_samples_ = 0;
   } else {
-    raw = extractor_.Extract(block_buffer_, mean_execution_ms_);
+    raw = extractor_.Extract(
+        demand_history.last(std::min(demand_history.size(), model_->block_minutes)),
+        mean_execution_ms_);
   }
+  block_samples_ = 0;
   const FemuxModel::Selection selected = model_->Select(raw);
   ++blocks_per_forecaster_[model_->forecaster_names[static_cast<std::size_t>(
       selected.forecaster)]];
@@ -60,17 +42,16 @@ void FemuxPolicy::CompleteBlock() {
                                                    selected.cluster);
     ++switch_count_;
     // Block-boundary warm handoff: seed the fresh forecaster's sliding
-    // window from the series ring, so it starts with the same history a
-    // cold batch re-seed would have read — but pays the O(window) cost here
-    // at the block boundary, once, instead of leaving the session invalid.
+    // window from the history, so it starts with the same window a cold
+    // batch re-seed would have read — but pays the O(window) cost here at
+    // the block boundary, once, instead of leaving the session invalid.
     // (The fresh forecaster may reuse the old one's address, so the session
     // must not trust pointer identity for stream continuity; SeedStreamed
     // rebinds it explicitly.)
-    session_.SeedStreamed(*forecaster_, RingWindow(), observed_,
+    session_.SeedStreamed(*forecaster_, demand_history, demand_history.size(),
                           kDefaultHistoryMinutes);
   }
   selected_margin_ = selected.margin;
-  block_buffer_.clear();
 }
 
 double FemuxPolicy::TargetUnits(std::span<const double> demand_history) {
@@ -78,29 +59,15 @@ double FemuxPolicy::TargetUnits(std::span<const double> demand_history) {
     return 0.0;
   }
   // The simulator advances one epoch per call, so the newest history entry
-  // is exactly one unseen sample — the only element the policy reads.
-  const double newest = demand_history.back();
-  ++observed_;
-  series_ring_.push_back(newest);
-  if (series_ring_.size() > 2 * ring_capacity_) {
-    // Amortized-O(1) compaction: drop the stale front half. The session
-    // tracks contiguity on `observed_`, so this is invisible to it.
-    series_ring_.erase(series_ring_.begin(),
-                       series_ring_.end() -
-                           static_cast<std::ptrdiff_t>(ring_capacity_));
-  }
+  // is exactly one unseen sample.
   if (model_->feature_mode == FeatureMode::kSketch) {
-    block_sketch_.Add(newest);
-    if (++block_samples_ >= model_->block_minutes) {
-      CompleteBlock();
-    }
-  } else {
-    block_buffer_.push_back(newest);
-    if (block_buffer_.size() >= model_->block_minutes) {
-      CompleteBlock();
-    }
+    block_sketch_.Add(demand_history.back());
   }
-  return session_.ForecastStreamed(*forecaster_, RingWindow(), observed_,
+  if (++block_samples_ >= model_->block_minutes) {
+    CompleteBlock(demand_history);
+  }
+  return session_.ForecastStreamed(*forecaster_, demand_history,
+                                   demand_history.size(),
                                    kDefaultHistoryMinutes) *
          margin_ * selected_margin_;
 }

@@ -1,12 +1,13 @@
 // FeMux online lifetime manager (§4.3, Fig. 10).
 //
 // One FemuxPolicy instance manages one application. Each scaling epoch it
-// receives the demand history, appends the newest sample to its block
-// buffer, and — when a block completes — asynchronously-equivalent work
-// happens inline: features are extracted, the pre-trained classifier picks
-// the forecaster for the next block, and forecasting switches over. Until
-// the first block completes, the model's default forecaster (lowest total
-// training RUM) is used.
+// receives the full observed demand history (the caller owns it; the policy
+// only reads it), counts the newest sample into the current block, and —
+// when a block completes — asynchronously-equivalent work happens inline:
+// features are extracted, the pre-trained classifier picks the forecaster
+// for the next block, and forecasting switches over. Until the first block
+// completes, the model's default forecaster (lowest total training RUM) is
+// used.
 #ifndef SRC_CORE_FEMUX_H_
 #define SRC_CORE_FEMUX_H_
 
@@ -14,7 +15,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "src/core/model.h"
 #include "src/sim/policy.h"
@@ -43,31 +43,19 @@ class FemuxPolicy final : public ScalingPolicy {
   }
 
  private:
-  void CompleteBlock();
-  // The retained tail of the demand series (newest last), sized to the
-  // largest window any forecaster in the model's set wants.
-  std::span<const double> RingWindow() const;
+  void CompleteBlock(std::span<const double> demand_history);
 
   std::shared_ptr<const FemuxModel> model_;
   FeatureExtractor extractor_;
   double mean_execution_ms_;
   double margin_;
-  // Exact mode buffers the current block resident (block_minutes doubles);
-  // sketch mode streams each sample into the O(1) sketch instead, so
-  // per-app block state is independent of the block length (DESIGN.md §14).
-  std::vector<double> block_buffer_;
+  // Exact mode reads the completed block back from the caller's history;
+  // sketch mode streams each sample into the O(1) sketch, so per-app block
+  // state is independent of the block length (DESIGN.md §14).
   BlockSketch block_sketch_;
-  std::size_t block_samples_ = 0;  // Samples fed to the current sketch.
+  std::size_t block_samples_ = 0;  // Samples in the current block.
   std::unique_ptr<Forecaster> forecaster_;
   IncrementalSession session_;
-  // Series ring: the policy keeps its own bounded copy of recent samples so
-  // (a) a fresh forecaster can be warm-seeded at a block switch and (b) the
-  // policy only ever reads history.back() — callers need not retain full
-  // histories. Stored as a growing vector compacted amortized-O(1); the
-  // session tracks contiguity on `observed_`, so compaction is invisible.
-  std::vector<double> series_ring_;
-  std::size_t ring_capacity_ = 0;
-  std::size_t observed_ = 0;  // Samples ever observed.
   int current_index_ = 0;
   double selected_margin_ = 1.0;
   int switch_count_ = 0;

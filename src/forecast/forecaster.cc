@@ -31,36 +31,10 @@ std::vector<double> RollingForecast(Forecaster& forecaster,
     // The session windows the prefix to the last history_len samples (or
     // the forecaster's preferred history) and feeds one-sample deltas to
     // forecasters that maintain sliding-window state.
-    predictions[t] = session.ForecastOne(forecaster, series.subspan(0, t), history_len);
+    const std::span<const double> prefix = series.first(t);
+    predictions[t] = session.ForecastStreamed(forecaster, prefix, prefix.size(), history_len);
   }
   return predictions;
-}
-
-double IncrementalSession::ForecastOne(Forecaster& forecaster,
-                                       std::span<const double> history,
-                                       std::size_t window_hint) {
-  const std::size_t window = std::max(window_hint, forecaster.preferred_history());
-  const std::span<const double> windowed =
-      history.size() > window ? history.last(window) : history;
-  if (!forecaster.SupportsIncremental() || history.empty()) {
-    seeded_ = false;
-    return femux::ForecastOne(forecaster, windowed);
-  }
-  const bool contiguous =
-      seeded_ && bound_ == &forecaster && window_ == window &&
-      history.size() == last_size_ + 1 &&
-      (last_size_ == 0 || history[last_size_ - 1] == last_back_);
-  if (contiguous) {
-    forecaster.ObserveAppend(history.back());
-  } else {
-    forecaster.BeginWindow(windowed, window);
-    bound_ = &forecaster;
-    window_ = window;
-    seeded_ = true;
-  }
-  last_size_ = history.size();
-  last_back_ = history.back();
-  return forecaster.ForecastNext();
 }
 
 double IncrementalSession::ForecastStreamed(Forecaster& forecaster,
@@ -89,8 +63,8 @@ double IncrementalSession::ForecastStreamed(Forecaster& forecaster,
     }
     return last_pred_;
   }
-  // The prev-back probe mirrors ForecastOne's history[last_size_ - 1] check:
-  // the previous epoch's newest sample is the ring's second-newest now.
+  // The previous epoch's newest sample must be the window's second-newest
+  // now; otherwise the caller switched series and the session re-seeds.
   const bool contiguous =
       bound_here && total_observed == last_size_ + 1 &&
       (last_size_ == 0 ||
@@ -164,23 +138,6 @@ StreamedForecast IncrementalSession::ForecastStreamedChecked(
   }
   out.value = ForecastStreamed(forecaster, window, total_observed, window_hint);
   return out;
-}
-
-StreamError IncrementalSession::SeedStreamedChecked(Forecaster& forecaster,
-                                                    std::span<const double> window,
-                                                    std::size_t total_observed,
-                                                    std::size_t window_hint) {
-  if (!AllFinite(window)) {
-    return StreamError::kNonFiniteInput;
-  }
-  const std::size_t window_len =
-      std::max(window_hint, forecaster.preferred_history());
-  if (seeded_ && bound_ == &forecaster && window_ == window_len &&
-      total_observed < last_size_) {
-    return StreamError::kCountRegressed;
-  }
-  SeedStreamed(forecaster, window, total_observed, window_hint);
-  return StreamError::kNone;
 }
 
 double ClampPrediction(double value) {

@@ -108,8 +108,8 @@ class Forecaster {
   }
 };
 
-// Typed error for the checked streamed-session entry points below. The
-// unchecked entry points silently re-seed on any history discontinuity —
+// Typed error for the checked streamed-session entry point below. The
+// unchecked entry point silently re-seeds on any history discontinuity —
 // correct for trusted simulator callers, but an online daemon ingesting
 // pushes from the network needs to *know* when a tenant's stream went bad
 // so it can count the fault and quarantine the app instead of serving a
@@ -134,13 +134,15 @@ struct StreamedForecast {
 };
 
 // Drives a Forecaster through the incremental protocol with automatic
-// fallback. Each call receives the caller's full observed history; the
-// session windows it to the last `window_hint` samples (at least the
-// forecaster's preferred history, matching the batch call sites) and
-//  - feeds a one-sample delta when `history` extends the previously seen
-//    history by exactly one sample,
-//  - re-seeds the forecaster's window state when the history jumped
-//    (different length delta, different series, changed window), and
+// fallback. Each call receives the newest tail of the caller's history
+// (`window`, oldest first) plus a monotone count of samples ever observed.
+// The session windows it to the last max(`window_hint`, preferred history)
+// samples and
+//  - feeds a one-sample delta when `total_observed` advanced by exactly one
+//    and the window's second-newest sample is the previous call's newest,
+//  - replays the cached prediction when `total_observed` did not advance,
+//  - re-seeds the forecaster's window state otherwise (gap, different
+//    series, changed window), and
 //  - uses the batch Forecast() path for forecasters that don't implement
 //    the protocol.
 // One session drives one forecaster stream; reset with Invalidate() when
@@ -148,47 +150,36 @@ struct StreamedForecast {
 // safe signal — a fresh forecaster may reuse a freed address).
 class IncrementalSession {
  public:
-  double ForecastOne(Forecaster& forecaster, std::span<const double> history,
-                     std::size_t window_hint = kDefaultHistoryMinutes);
-
-  // Streamed variants for callers that keep a bounded ring of recent
-  // samples instead of the full history (FemuxPolicy's series ring). The
-  // caller passes its retained tail (`window`, oldest first — it must cover
-  // at least the last min(total_observed, effective window) samples) plus a
-  // monotone count of samples ever observed; contiguity is tracked on that
-  // count, so ring compaction is invisible. With `window` equal to the
-  // tail of the full history, ForecastStreamed(f, window, n) performs
-  // exactly the calls ForecastOne(f, full_history_of_size_n) would —
-  // bit-identical results.
+  // Policies and RollingForecast pass the full observed prefix with
+  // `total_observed` = prefix.size(). The scaler daemon, which receives
+  // samples by push, passes its bounded ring instead: as long as the ring
+  // covers the last min(total_observed, effective window) samples, the
+  // call sequence is exactly the full-prefix one — bit-identical results.
   double ForecastStreamed(Forecaster& forecaster, std::span<const double> window,
                           std::size_t total_observed,
                           std::size_t window_hint = kDefaultHistoryMinutes);
 
   // Eagerly re-seeds `forecaster`'s sliding-window state from `window`
-  // (block-boundary warm handoff: the fresh forecaster inherits the ring
-  // instead of starting cold). The next ForecastStreamed call with the same
-  // `total_observed` recognizes the seeded state and forecasts from it
-  // without re-seeding. No-op (marks the session unseeded) for forecasters
-  // without incremental support — they fall back to the batch path exactly
-  // as before.
+  // (block-boundary warm handoff: the fresh forecaster inherits the
+  // history instead of starting cold). The next ForecastStreamed call with
+  // the same `total_observed` recognizes the seeded state and forecasts
+  // from it without re-seeding. No-op (marks the session unseeded) for
+  // forecasters without incremental support — they fall back to the batch
+  // path exactly as before.
   void SeedStreamed(Forecaster& forecaster, std::span<const double> window,
                     std::size_t total_observed,
                     std::size_t window_hint = kDefaultHistoryMinutes);
 
-  // Total variants of the streamed entry points: every degenerate input is
-  // mapped to a StreamError instead of silently re-seeding (or, for
-  // non-finite values, poisoning forecaster state). A forward gap in
-  // `total_observed` (> +1) is NOT an error — the session re-seeds from the
-  // window exactly like the unchecked path, since a bounded ring caller can
-  // legitimately skip epochs. On any error the session and forecaster are
-  // left exactly as they were.
+  // Total variant of ForecastStreamed: every degenerate input is mapped to
+  // a StreamError instead of silently re-seeding (or, for non-finite
+  // values, poisoning forecaster state). A forward gap in `total_observed`
+  // (> +1) is NOT an error — the session re-seeds from the window exactly
+  // like the unchecked path, since a bounded ring caller can legitimately
+  // skip epochs. On any error the session and forecaster are left exactly
+  // as they were.
   StreamedForecast ForecastStreamedChecked(
       Forecaster& forecaster, std::span<const double> window,
       std::size_t total_observed, std::size_t window_hint = kDefaultHistoryMinutes);
-  StreamError SeedStreamedChecked(Forecaster& forecaster,
-                                  std::span<const double> window,
-                                  std::size_t total_observed,
-                                  std::size_t window_hint = kDefaultHistoryMinutes);
 
   void Invalidate() {
     seeded_ = false;

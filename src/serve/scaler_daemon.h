@@ -5,9 +5,12 @@
 // bounded per-shard queues (backpressure = drop + count, never block or
 // grow unbounded), and a timer wheel drives the 2 s autoscaler tick that
 // drains the queues and produces one scaling decision per app. Per-app
-// serving state is the same IncrementalSession + bounded series ring the
-// simulator uses (DESIGN.md §7/§11), sharded by app-id hash so tick work
-// parallelizes over shards on the process thread pool.
+// serving state is a forecaster driven through an IncrementalSession, as
+// in the simulator's policies (DESIGN.md §7/§11). Because samples arrive
+// by push, the daemon is the one caller that keeps its own bounded series
+// ring; the policies read the history their caller owns. State is sharded
+// by app-id hash so tick work parallelizes over shards on the process
+// thread pool.
 //
 // Robustness is structural, not bolted on:
 //  - Every per-app decision runs under a deadline with a degradation

@@ -15,7 +15,8 @@ double ForecasterPolicy::TargetUnits(std::span<const double> demand_history) {
   // The session windows the history and feeds one-sample deltas to
   // forecasters with sliding-window state; other forecasters fall back to
   // the batch path on the same window.
-  const double predicted = session_.ForecastOne(*forecaster_, demand_history, history_len_);
+  const double predicted = session_.ForecastStreamed(
+      *forecaster_, demand_history, demand_history.size(), history_len_);
   const double target = predicted * margin_;
   if (reactive_floor_) {
     return std::max(target, demand_history.back());

@@ -25,9 +25,11 @@ class ScalingPolicy {
 
   virtual std::string_view name() const = 0;
 
-  // Units to provision for the next epoch given the demand history
-  // (oldest-first, one sample per epoch). May return fractional values;
-  // the simulator takes the ceiling.
+  // Units to provision for the next epoch given the demand history. The
+  // caller owns the history and passes the full observed prefix, oldest
+  // first, growing by one new sample per call; policies only read it and
+  // keep no copy. May return fractional values; the simulator takes the
+  // ceiling.
   virtual double TargetUnits(std::span<const double> demand_history) = 0;
 
   virtual std::unique_ptr<ScalingPolicy> Clone() const = 0;

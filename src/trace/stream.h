@@ -18,7 +18,6 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "src/trace/azure_generator.h"
 #include "src/trace/huawei_generator.h"
@@ -124,29 +123,6 @@ class DatasetTraceSource final : public TraceSource {
 
  private:
   const Dataset* dataset_;
-};
-
-// Single-consumer cursor over [0, app_count) in fixed-size chunks — the
-// chunk protocol used when a consumer wants sequential (non-sharded)
-// streaming. Parallel consumers instead shard indices themselves (see
-// SimulateFleetStream) and call MakeApp directly.
-class AppChunkIterator {
- public:
-  AppChunkIterator(const TraceSource& source, std::size_t chunk_apps)
-      : source_(&source), chunk_apps_(chunk_apps == 0 ? 1 : chunk_apps) {}
-
-  // Fills `chunk` with the next up-to-chunk_apps traces; returns false (and
-  // leaves `chunk` empty) once the source is exhausted.
-  bool Next(std::vector<AppTrace>* chunk);
-
-  std::size_t next_index() const { return next_; }
-  std::size_t chunks_emitted() const { return chunks_; }
-
- private:
-  const TraceSource* source_;
-  std::size_t chunk_apps_;
-  std::size_t next_ = 0;
-  std::size_t chunks_ = 0;
 };
 
 }  // namespace femux

@@ -188,7 +188,7 @@ TEST(IncrementalParityTest, MidSeriesWindowJump) {
   IncrementalSession session;
   // Feed a contiguous prefix...
   for (std::size_t t = 10; t < 150; ++t) {
-    session.ForecastOne(forecaster, std::span<const double>(series).subspan(0, t), 120);
+    session.ForecastStreamed(forecaster, std::span<const double>(series).first(t), t, 120);
   }
   // ...then jump backwards to a shorter prefix: non-contiguous, so the
   // session reseeds. From there on it must agree with batch again.
@@ -196,7 +196,7 @@ TEST(IncrementalParityTest, MidSeriesWindowJump) {
   const std::size_t window = 120;
   for (std::size_t t = 50; t < 300; ++t) {
     const std::span<const double> history = std::span<const double>(series).subspan(0, t);
-    const double inc = session.ForecastOne(forecaster, history, window);
+    const double inc = session.ForecastStreamed(forecaster, history, t, window);
     const std::span<const double> windowed =
         history.size() > window ? history.last(window) : history;
     const auto batch = batch_ref.Forecast(windowed, 1);

@@ -1,9 +1,9 @@
 // Ring-driven streamed session + block-boundary warm handoff parity
 // (DESIGN.md §11), mirroring the incremental-parity tests: a caller that
-// retains only a bounded ring of recent samples (FemuxPolicy's series
-// ring) and drives IncrementalSession::ForecastStreamed / SeedStreamed
-// must agree with the full-history batch path — bit-identical to
-// ForecastOne on the same stream, and within the documented 1e-9
+// retains only a bounded ring of recent samples (the scaler daemon's
+// series ring) and drives IncrementalSession::ForecastStreamed /
+// SeedStreamed must agree with the full-prefix path the policies use —
+// bit-identical on the same stream, and within the documented 1e-9
 // scale-relative bound of a fresh batch refit per prefix, including
 // across a mid-stream forecaster switch (the warm handoff).
 #include <gtest/gtest.h>
@@ -48,8 +48,8 @@ std::vector<double> RandomSeries(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
-// FemuxPolicy-style bounded ring: append-only vector compacted amortized
-// O(1), exposing the retained tail.
+// Daemon-style bounded ring: append-only vector compacted amortized O(1),
+// exposing the retained tail.
 class SeriesRing {
  public:
   explicit SeriesRing(std::size_t capacity) : capacity_(capacity) {}
@@ -78,8 +78,9 @@ class SeriesRing {
 
 constexpr std::size_t kWindow = 120;
 
-// Full-history reference: ForecastOne over every prefix, the path the
-// incremental-parity tests already pin against batch refits.
+// Full-history reference: ForecastStreamed over every full prefix, the
+// path the policies take and the incremental-parity tests pin against
+// batch refits.
 std::vector<double> FullHistoryRolling(const Forecaster& prototype,
                                        std::span<const double> series) {
   const std::unique_ptr<Forecaster> forecaster = prototype.Clone();
@@ -88,7 +89,7 @@ std::vector<double> FullHistoryRolling(const Forecaster& prototype,
   out.reserve(series.size());
   for (std::size_t t = 1; t <= series.size(); ++t) {
     out.push_back(
-        session.ForecastOne(*forecaster, series.subspan(0, t), kWindow));
+        session.ForecastStreamed(*forecaster, series.first(t), t, kWindow));
   }
   return out;
 }
@@ -171,10 +172,11 @@ TEST(StreamedSessionTest, BatchFallbackMatchesWindowedForecast) {
 }
 
 // Warm handoff: switch forecasters mid-stream, seeding the newcomer from
-// the ring (exactly what FemuxPolicy::CompleteBlock does). After the seed,
-// the newcomer must track a reference session that was fed the full
-// history from the switch point on — bit-identical, because SeedStreamed
-// performs the same BeginWindow a cold re-seed at that prefix would.
+// the ring (what FemuxPolicy::CompleteBlock does from the full prefix).
+// After the seed, the newcomer must track a reference session that was fed
+// the full history from the switch point on — bit-identical, because
+// SeedStreamed performs the same BeginWindow a cold re-seed at that prefix
+// would.
 TEST(StreamedSessionTest, WarmHandoffMatchesColdReseedAtSwitchPoint) {
   const auto all = RandomSeries(600, 7);
   const std::span<const double> series(all);
@@ -203,14 +205,14 @@ TEST(StreamedSessionTest, WarmHandoffMatchesColdReseedAtSwitchPoint) {
   }
   ASSERT_GE(switches, 1);
 
-  // Reference: a fresh B driven through ForecastOne on full-history
+  // Reference: a fresh B driven through ForecastStreamed on full-history
   // prefixes starting at the switch point (a cold re-seed would begin the
   // same way).
   HoltForecaster b_ref;
   IncrementalSession ref_session;
   for (std::size_t t = kSwitchAt; t <= series.size(); ++t) {
     const double ref =
-        ref_session.ForecastOne(b_ref, series.subspan(0, t), kWindow);
+        ref_session.ForecastStreamed(b_ref, series.first(t), t, kWindow);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(ref),
               std::bit_cast<std::uint64_t>(streamed[t - 1]))
         << "t=" << t << " ref=" << ref << " streamed=" << streamed[t - 1];

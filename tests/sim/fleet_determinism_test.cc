@@ -12,6 +12,9 @@
 //      the serial-to-parallel jump is exactly where silent nondeterminism
 //      creeps in, and this pins both directions.
 //
+// The snapshot, the trained FeMux model and each sweep's serial reference
+// run are built once per binary and shared by every test below.
+//
 // Regenerate the snapshot + golden after an intentional behaviour change:
 //   FEMUX_UPDATE_GOLDEN=1 build/tests/sim_fleet_determinism_test
 #include <array>
@@ -34,6 +37,7 @@
 #include "src/forecast/registry.h"
 #include "src/sim/fleet.h"
 #include "src/sim/fleet_stream.h"
+#include "src/sim/parallel.h"
 #include "src/trace/azure_generator.h"
 #include "src/trace/csv_io.h"
 #include "src/trace/stream.h"
@@ -76,8 +80,9 @@ Dataset GenerateSnapshotDataset() {
   return GenerateAzureDataset(options);
 }
 
-Dataset LoadSnapshotDataset() {
-  return ReadDatasetCsvFiles(kConfigsCsv, kCountsCsv);
+const Dataset& SnapshotDataset() {
+  static const Dataset dataset = ReadDatasetCsvFiles(kConfigsCsv, kCountsCsv);
+  return dataset;
 }
 
 // FeMux trained on the snapshot itself with a compact configuration — the
@@ -102,20 +107,35 @@ std::shared_ptr<const FemuxModel> TrainSnapshotModel(const Dataset& dataset) {
 struct Sweep {
   std::string label;
   std::unique_ptr<ScalingPolicy> prototype;
+  FleetResult serial;  // The serial resident run: every test's reference.
 };
 
 // Fig11/fig17-flavored policy sweep: fixed keep-alive and reactive
-// baselines, individual forecaster policies, and multiplexed FeMux.
+// baselines, individual forecaster policies, and multiplexed FeMux, each
+// with its serial reference run over `dataset`.
 std::vector<Sweep> MakeSweeps(const Dataset& dataset) {
   std::vector<Sweep> sweeps;
-  sweeps.push_back({"keep_alive_10", MakeKeepAlivePolicy(10)});
-  sweeps.push_back({"knative_default", MakeKnativeDefaultPolicy()});
-  sweeps.push_back({"policy_ar", std::make_unique<ForecasterPolicy>(
-                                     MakeForecasterByName("ar"))});
-  sweeps.push_back({"policy_fft", std::make_unique<ForecasterPolicy>(
-                                      MakeForecasterByName("fft"))});
-  sweeps.push_back({"femux", std::make_unique<FemuxPolicy>(
-                                 TrainSnapshotModel(dataset))});
+  sweeps.push_back({"keep_alive_10", MakeKeepAlivePolicy(10), {}});
+  sweeps.push_back({"knative_default", MakeKnativeDefaultPolicy(), {}});
+  sweeps.push_back({"policy_ar",
+                    std::make_unique<ForecasterPolicy>(MakeForecasterByName("ar")),
+                    {}});
+  sweeps.push_back({"policy_fft",
+                    std::make_unique<ForecasterPolicy>(MakeForecasterByName("fft")),
+                    {}});
+  sweeps.push_back({"femux",
+                    std::make_unique<FemuxPolicy>(TrainSnapshotModel(dataset)),
+                    {}});
+  for (Sweep& sweep : sweeps) {
+    sweep.serial = SimulateFleetUniform(dataset, *sweep.prototype, SimOptions{},
+                                        /*respect_app_min_scale=*/false,
+                                        /*threads=*/1);
+  }
+  return sweeps;
+}
+
+const std::vector<Sweep>& SnapshotSweeps() {
+  static const std::vector<Sweep> sweeps = MakeSweeps(SnapshotDataset());
   return sweeps;
 }
 
@@ -185,10 +205,7 @@ TEST(FleetDeterminismTest, UpdateGolden) {
 
   std::map<std::string, std::array<double, kMetricFields>> rows;
   for (const Sweep& sweep : MakeSweeps(dataset)) {
-    AppendRows(sweep.label,
-               SimulateFleetUniform(dataset, *sweep.prototype, SimOptions{},
-                                    /*respect_app_min_scale=*/false, /*threads=*/1),
-               &rows);
+    AppendRows(sweep.label, sweep.serial, &rows);
   }
   std::ofstream out(kGoldenFile);
   out << "# Golden fleet metrics for the committed snapshot dataset.\n"
@@ -211,7 +228,7 @@ TEST(FleetDeterminismTest, UpdateGolden) {
 }
 
 TEST(FleetDeterminismTest, SnapshotLoads) {
-  const Dataset dataset = LoadSnapshotDataset();
+  const Dataset& dataset = SnapshotDataset();
   ASSERT_EQ(dataset.apps.size(), 8u);
   EXPECT_EQ(dataset.duration_days, 2);
   for (const AppTrace& app : dataset.apps) {
@@ -221,12 +238,10 @@ TEST(FleetDeterminismTest, SnapshotLoads) {
 
 // (a) Any thread count produces bit-identical per-app rows and totals.
 TEST(FleetDeterminismTest, FleetMetricsBitIdenticalAcrossThreadCounts) {
-  const Dataset dataset = LoadSnapshotDataset();
+  const Dataset& dataset = SnapshotDataset();
   ASSERT_FALSE(dataset.apps.empty());
-  for (const Sweep& sweep : MakeSweeps(dataset)) {
-    const FleetResult serial =
-        SimulateFleetUniform(dataset, *sweep.prototype, SimOptions{},
-                             /*respect_app_min_scale=*/false, /*threads=*/1);
+  for (const Sweep& sweep : SnapshotSweeps()) {
+    const FleetResult& serial = sweep.serial;
     for (const std::size_t threads : {std::size_t{0}, std::size_t{3}}) {
       SeriesCache cache;  // The cached path must not perturb metrics either.
       const FleetResult parallel =
@@ -246,16 +261,12 @@ TEST(FleetDeterminismTest, FleetMetricsBitIdenticalAcrossThreadCounts) {
 
 // (b) The serial path reproduces the committed golden bit-for-bit.
 TEST(FleetDeterminismTest, FleetMetricsMatchCommittedGolden) {
-  const Dataset dataset = LoadSnapshotDataset();
-  ASSERT_FALSE(dataset.apps.empty());
+  ASSERT_FALSE(SnapshotDataset().apps.empty());
   const auto golden = ReadGolden();
   ASSERT_FALSE(golden.empty()) << "missing or unreadable " << kGoldenFile;
   std::map<std::string, std::array<double, kMetricFields>> rows;
-  for (const Sweep& sweep : MakeSweeps(dataset)) {
-    AppendRows(sweep.label,
-               SimulateFleetUniform(dataset, *sweep.prototype, SimOptions{},
-                                    /*respect_app_min_scale=*/false, /*threads=*/1),
-               &rows);
+  for (const Sweep& sweep : SnapshotSweeps()) {
+    AppendRows(sweep.label, sweep.serial, &rows);
   }
   ASSERT_EQ(rows.size(), golden.size());
   for (const auto& [key, values] : rows) {
@@ -277,43 +288,64 @@ TEST(FleetDeterminismTest, FleetMetricsMatchCommittedGolden) {
 // count, chunk size, and backpressure bound (the bound only throttles
 // admission past the fold frontier; it must never reorder the fold).
 TEST(FleetDeterminismTest, StreamingMatchesResidentForAnyChunkingAndThreads) {
-  const Dataset dataset = LoadSnapshotDataset();
+  const Dataset& dataset = SnapshotDataset();
   ASSERT_FALSE(dataset.apps.empty());
   const DatasetTraceSource source(dataset);
-  for (const Sweep& sweep : MakeSweeps(dataset)) {
-    const FleetResult serial =
-        SimulateFleetUniform(dataset, *sweep.prototype, SimOptions{},
-                             /*respect_app_min_scale=*/false, /*threads=*/1);
+  struct Cell {
+    const Sweep* sweep;
+    std::size_t chunk;
+    std::size_t threads;
+    std::size_t pending;  // 0 = auto bound; 1 = the tightest admission schedule.
+  };
+  std::vector<Cell> inline_cells;
+  std::vector<Cell> pooled_cells;
+  for (const Sweep& sweep : SnapshotSweeps()) {
     for (const std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
       for (const std::size_t threads : {std::size_t{1}, std::size_t{0}, std::size_t{3}}) {
-        // 0 = auto bound; 1 = the tightest admission schedule possible.
         for (const std::size_t pending : {std::size_t{0}, std::size_t{1}}) {
-          FleetStreamOptions options;
-          options.chunk_apps = chunk;
-          options.threads = threads;
-          options.max_pending_chunks = pending;
-          std::vector<SimMetrics> rows(dataset.apps.size());
-          options.per_app_sink = [&rows](std::size_t index, const SimMetrics& row) {
-            ASSERT_LT(index, rows.size());
-            rows[index] = row;
-          };
-          const FleetStreamResult streamed =
-              SimulateFleetStreamUniform(source, *sweep.prototype, options);
-          const std::string label = sweep.label + " (chunk=" + std::to_string(chunk) +
-                                    " threads=" + std::to_string(threads) +
-                                    " pending=" + std::to_string(pending) + ")";
-          ASSERT_EQ(streamed.apps, serial.per_app.size()) << label;
-          if (pending > 0) {
-            EXPECT_LE(streamed.peak_pending_chunks, pending) << label;
-          }
-          ExpectBitIdentical(serial.total, streamed.total, label + " total");
-          for (std::size_t i = 0; i < rows.size(); ++i) {
-            ExpectBitIdentical(serial.per_app[i], rows[i],
-                               RowKey(sweep.label, static_cast<int>(i)) + " streamed");
-          }
+          // One thread, or one chunk for the whole fleet: the fold has a
+          // single participant and runs inline on its caller.
+          const bool runs_inline = threads == 1 || chunk >= dataset.apps.size();
+          (runs_inline ? inline_cells : pooled_cells)
+              .push_back({&sweep, chunk, threads, pending});
         }
       }
     }
+  }
+  const auto run_cell = [&](const Cell& cell) {
+    const FleetResult& serial = cell.sweep->serial;
+    FleetStreamOptions options;
+    options.chunk_apps = cell.chunk;
+    options.threads = cell.threads;
+    options.max_pending_chunks = cell.pending;
+    std::vector<SimMetrics> rows(dataset.apps.size());
+    options.per_app_sink = [&rows](std::size_t index, const SimMetrics& row) {
+      ASSERT_LT(index, rows.size());
+      rows[index] = row;
+    };
+    const FleetStreamResult streamed =
+        SimulateFleetStreamUniform(source, *cell.sweep->prototype, options);
+    const std::string label =
+        cell.sweep->label + " (chunk=" + std::to_string(cell.chunk) +
+        " threads=" + std::to_string(cell.threads) +
+        " pending=" + std::to_string(cell.pending) + ")";
+    ASSERT_EQ(streamed.apps, serial.per_app.size()) << label;
+    if (cell.pending > 0) {
+      EXPECT_LE(streamed.peak_pending_chunks, cell.pending) << label;
+    }
+    ExpectBitIdentical(serial.total, streamed.total, label + " total");
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      ExpectBitIdentical(serial.per_app[i], rows[i],
+                         RowKey(cell.sweep->label, static_cast<int>(i)) + " streamed");
+    }
+  };
+  // Inline cells never touch the pool themselves, so they can share it
+  // with each other without changing what they exercise. Pooled cells run
+  // one at a time: each must get every worker, or its fold would not see
+  // concurrent participants.
+  ParallelFor(inline_cells.size(), [&](std::size_t i) { run_cell(inline_cells[i]); });
+  for (const Cell& cell : pooled_cells) {
+    run_cell(cell);
   }
 }
 
@@ -321,7 +353,7 @@ TEST(FleetDeterminismTest, StreamingMatchesResidentForAnyChunkingAndThreads) {
 // invariant: per-block RUM rows and feature rows (nested block-level
 // ParallelFor in BuildBlockTable) are bit-identical serial vs pooled.
 TEST(FleetDeterminismTest, BlockTableBitIdenticalAcrossThreadCounts) {
-  const Dataset dataset = LoadSnapshotDataset();
+  const Dataset& dataset = SnapshotDataset();
   ASSERT_FALSE(dataset.apps.empty());
   TrainerOptions options;
   options.block_minutes = 240;
@@ -363,7 +395,7 @@ TEST(FleetDeterminismTest, BlockTableBitIdenticalAcrossThreadCounts) {
 // ExtractBlockFeatures (the block-parallel feature fan-out) is row-for-row
 // bit-identical to a serial ExtractInto walk.
 TEST(FleetDeterminismTest, ExtractBlockFeaturesMatchesSerialWalk) {
-  const Dataset dataset = LoadSnapshotDataset();
+  const Dataset& dataset = SnapshotDataset();
   ASSERT_FALSE(dataset.apps.empty());
   const FeatureExtractor extractor;
   constexpr std::size_t kBlock = 240;

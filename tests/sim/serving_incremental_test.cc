@@ -99,8 +99,8 @@ class LegacyFemuxMirror {
 
   double TargetUnits(std::span<const double> demand_history) {
     if (!demand_history.empty()) {
-      block_buffer_.push_back(demand_history.back());
-      if (block_buffer_.size() >= model_->block_minutes) {
+      block_values_.push_back(demand_history.back());
+      if (block_values_.size() >= model_->block_minutes) {
         CompleteBlock();
       }
     }
@@ -120,7 +120,7 @@ class LegacyFemuxMirror {
  private:
   void CompleteBlock() {
     const std::vector<double> raw =
-        extractor_.Extract(block_buffer_, mean_execution_ms_);
+        extractor_.Extract(block_values_, mean_execution_ms_);
     const FemuxModel::Selection selected = model_->Select(raw);
     if (selected.forecaster != current_index_) {
       current_index_ = selected.forecaster;
@@ -128,14 +128,14 @@ class LegacyFemuxMirror {
       ++switch_count_;
     }
     selected_margin_ = selected.margin;
-    block_buffer_.clear();
+    block_values_.clear();
   }
 
   std::shared_ptr<const FemuxModel> model_;
   FeatureExtractor extractor_;
   double mean_execution_ms_;
   double margin_;
-  std::vector<double> block_buffer_;
+  std::vector<double> block_values_;
   std::unique_ptr<Forecaster> forecaster_;
   int current_index_ = 0;
   double selected_margin_ = 1.0;

@@ -3,9 +3,10 @@
 //
 // Runs a fig11/fig17-style policy sweep over one Azure-style population
 // twice: once through a verbatim copy of the pre-parallel serial fleet
-// loop (every app simulated in order on the caller, series recomputed per
-// policy) and once through SimulateFleetUniform (apps fanned out over the
-// process thread pool, demand/arrival series shared via a SeriesCache).
+// loop (every app simulated in order on the caller) and once through
+// SimulateFleetUniform (the streaming fold over a DatasetTraceSource, one
+// app per ticket across the process thread pool). Both expand each app's
+// series afresh for every policy.
 // Every SimMetrics field of every per-app row and the total must be
 // bit-identical between the serial reference, a threads=2 run, and the
 // default-width run — the determinism contract the ctest harness
@@ -20,9 +21,8 @@
 // explicitly SKIPPED with a warning — no pretend no-regression bound — and
 // the skip plus its reason are recorded in the JSON so trajectory
 // comparisons across machines never mistake a vacuous pass for a real one.
-// The bit-exact parity gates always run. The FFT plan-cache and SeriesCache
-// observability counters are exported in the same JSON (ROADMAP "Cache
-// observability").
+// The bit-exact parity gates always run. The FFT plan-cache observability
+// counters are exported in the same JSON (ROADMAP "Cache observability").
 //
 // Usage: bench_fleet_parallel [--smoke] [--apps=N] [--days=D] [--json=PATH]
 #include "bench/common.h"
@@ -51,7 +51,7 @@ namespace serial_reference {
 
 // ---- Pre-parallel fleet loop, kept verbatim so the speedup is measured
 // ---- against the real baseline on the same machine: one app at a time on
-// ---- the calling thread, series recomputed for every policy.
+// ---- the calling thread, series expanded for every policy.
 FleetResult SimulateFleetUniform(const Dataset& dataset, const ScalingPolicy& prototype,
                                  SimOptions options) {
   FleetResult result;
@@ -194,14 +194,13 @@ int main(int argc, char** argv) {
         std::make_unique<ForecasterPolicy>(MakeForecasterByName(name)));
   }
 
-  // --- Fleet sweep: serial reference vs pooled + SeriesCache, policy by
-  // policy, with bit-exact parity against serial, threads=2, and default.
+  // --- Fleet sweep: serial reference vs the pooled fold, policy by policy,
+  // with bit-exact parity against serial, threads=2, and default.
   std::vector<PolicyTiming> timings;
   std::vector<FleetResult> serial_results;
   double fleet_serial = 0.0;
   double fleet_parallel = 0.0;
   std::size_t parity_mismatches = 0;
-  SeriesCache series_cache;
   for (std::size_t p = 0; p < prototypes.size(); ++p) {
     PolicyTiming t;
     t.name = policy_names[p];
@@ -215,8 +214,7 @@ int main(int argc, char** argv) {
       const auto start = std::chrono::steady_clock::now();
       const FleetResult parallel =
           SimulateFleetUniform(dataset, *prototypes[p], SimOptions{},
-                               /*respect_app_min_scale=*/false, /*threads=*/0,
-                               &series_cache);
+                               /*respect_app_min_scale=*/false, /*threads=*/0);
       t.parallel_seconds = Seconds(start);
       parity_mismatches += CountRowMismatches(serial_results.back(), parallel);
     }
@@ -224,8 +222,7 @@ int main(int argc, char** argv) {
     // when the default width differs), untimed.
     const FleetResult two =
         SimulateFleetUniform(dataset, *prototypes[p], SimOptions{},
-                             /*respect_app_min_scale=*/false, /*threads=*/2,
-                             &series_cache);
+                             /*respect_app_min_scale=*/false, /*threads=*/2);
     parity_mismatches += CountRowMismatches(serial_results.back(), two);
     fleet_serial += t.serial_seconds;
     fleet_parallel += t.parallel_seconds;
@@ -320,13 +317,7 @@ int main(int argc, char** argv) {
               feature_rows, feature_mismatches);
 
   // --- Cache observability: the counters the sweep above produced.
-  const SeriesCache::Stats series_stats = series_cache.stats();
   const FftCacheStats fft_stats = GetFftCacheStats();
-  std::printf("series cache: %llu hits  %llu misses  %llu evictions  %zu entries\n",
-              static_cast<unsigned long long>(series_stats.hits),
-              static_cast<unsigned long long>(series_stats.misses),
-              static_cast<unsigned long long>(series_stats.evictions),
-              series_stats.entries);
   std::printf("fft cache   : %llu hits  %llu misses  %llu evictions  %zu entries  "
               "%zu table bytes\n",
               static_cast<unsigned long long>(fft_stats.hits),
@@ -376,10 +367,6 @@ int main(int argc, char** argv) {
         << ", \"gate_ok\": " << (features_gate_ok ? "true" : "false")
         << ", \"rows\": " << feature_rows
         << ", \"parity_mismatches\": " << feature_mismatches << "},\n"
-        << "  \"series_cache\": {\"hits\": " << series_stats.hits
-        << ", \"misses\": " << series_stats.misses
-        << ", \"evictions\": " << series_stats.evictions
-        << ", \"entries\": " << series_stats.entries << "},\n"
         << "  \"fft_cache\": {\"hits\": " << fft_stats.hits
         << ", \"misses\": " << fft_stats.misses
         << ", \"evictions\": " << fft_stats.evictions

@@ -13,9 +13,8 @@
 // stack (bench/legacy_spectral.h); epochs governed by a tie-ambiguous
 // harmonic selection — where the two stacks legitimately pick different
 // tied bins — are excluded and counted (see AmbiguousFftEpochs). An
-// end-to-end fleet comparison (legacy
-// batch ForecasterPolicy vs the incremental one plus the SeriesCache) is
-// timed as well. Results are emitted as JSON so the perf trajectory is
+// end-to-end fleet comparison (legacy batch ForecasterPolicy vs the
+// incremental one) is timed as well. Results are emitted as JSON so the perf trajectory is
 // tracked PR over PR (see scripts/bench_to_json.sh).
 //
 // Usage: bench_serve_hot_path [--smoke] [--apps=N] [--days=D] [--json=PATH]
@@ -347,11 +346,10 @@ int main(int argc, char** argv) {
 
   // --- End-to-end: two fleet sweeps (the fig17-style usage pattern — the
   // same dataset simulated under several policies) through the legacy batch
-  // policy vs the incremental policy sharing a SeriesCache.
+  // policy vs the incremental policy.
   double e2e_reference = 0.0;
   double e2e_optimized = 0.0;
   double e2e_metric_rel = 0.0;
-  SeriesCache::Stats series_stats;
   {
     const auto start = std::chrono::steady_clock::now();
     const FleetResult ref_ar = SimulateFleetUniform(
@@ -362,14 +360,13 @@ int main(int argc, char** argv) {
         SimOptions{});
     e2e_reference = Seconds(start);
 
-    SeriesCache cache;
     const auto opt_start = std::chrono::steady_clock::now();
     const FleetResult opt_ar = SimulateFleetUniform(
         dataset, ForecasterPolicy(std::make_unique<ArForecaster>(10, 5)),
-        SimOptions{}, false, 0, &cache);
+        SimOptions{});
     const FleetResult opt_holt = SimulateFleetUniform(
         dataset, ForecasterPolicy(std::make_unique<HoltForecaster>()),
-        SimOptions{}, false, 0, &cache);
+        SimOptions{});
     e2e_optimized = Seconds(opt_start);
 
     e2e_metric_rel = std::max(
@@ -377,7 +374,6 @@ int main(int argc, char** argv) {
          RelDiff(ref_ar.total.wasted_gb_seconds, opt_ar.total.wasted_gb_seconds),
          RelDiff(ref_holt.total.cold_starts, opt_holt.total.cold_starts),
          RelDiff(ref_holt.total.wasted_gb_seconds, opt_holt.total.wasted_gb_seconds)});
-    series_stats = cache.stats();
   }
   // Fleet metrics pass through a ceil(), so 1e-9 prediction parity normally
   // lands them exactly equal; 1e-6 leaves headroom for a boundary flip.
@@ -419,10 +415,6 @@ int main(int argc, char** argv) {
         << ", \"optimized_seconds\": " << e2e_optimized
         << ", \"speedup\": " << e2e_speedup
         << ", \"metric_max_rel_diff\": " << e2e_metric_rel << "},\n"
-        << "  \"series_cache\": {\"hits\": " << series_stats.hits
-        << ", \"misses\": " << series_stats.misses
-        << ", \"evictions\": " << series_stats.evictions
-        << ", \"entries\": " << series_stats.entries << "},\n"
         << "  \"fft_cache\": {\"hits\": " << fft_stats.hits
         << ", \"misses\": " << fft_stats.misses
         << ", \"evictions\": " << fft_stats.evictions

@@ -10,13 +10,14 @@
 #                           serve_*) under ThreadSanitizer and run them with
 #                           FEMUX_THREADS=4 (fleet/feature fan-out, cache
 #                           counters, thread pool, daemon producer threads).
-#   FEMUX_SANITIZE=address  additionally build the numeric-kernel test
-#                           targets (stats_*, forecast_*, core_*, serve_*)
-#                           under AddressSanitizer + UBSan — the spectral
-#                           engine's reused workspaces, lazily built plan
-#                           tables, and the SIMD layer's vector loads/stores
-#                           are exactly where lifetime and out-of-bounds
-#                           bugs would hide.
+#   FEMUX_SANITIZE=address  additionally build the numeric-kernel and fleet
+#                           test targets (stats_*, forecast_*, core_*,
+#                           serve_*, sim_*) under AddressSanitizer + UBSan —
+#                           the spectral engine's reused workspaces, lazily
+#                           built plan tables, the SIMD layer's vector
+#                           loads/stores, and the fleet fold's per-thread
+#                           arenas are exactly where lifetime and
+#                           out-of-bounds bugs would hide.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -138,13 +139,15 @@ if [[ "${FEMUX_SANITIZE:-}" == "address" ]]; then
   # stats_* includes simd_kernel_test, which force-activates every compiled
   # vector table (SSE2/AVX2) with unaligned buffers and lane-boundary tails,
   # so the vectorized loads/stores of the SIMD layer run under ASan+UBSan;
-  # core_* adds the K-means SoA distance path.
-  echo "== AddressSanitizer + UBSan: stats + forecast + core tests =="
+  # core_* adds the K-means SoA distance path; sim_* covers the ordered
+  # fold, the resident SimulateFleet adapter over it, and the per-thread
+  # arena path every fleet run takes.
+  echo "== AddressSanitizer + UBSan: stats + forecast + core + serve + sim tests =="
   cmake -B "$ROOT/build-asan" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" > /dev/null
   ASAN_TARGETS=()
-  for dir in stats forecast core serve; do
+  for dir in stats forecast core serve sim; do
     for src in "$ROOT/tests/$dir"/*_test.cc; do
       ASAN_TARGETS+=("${dir}_$(basename "$src" .cc)")
     done

@@ -165,6 +165,94 @@ bool IsExecAware(const FemuxModel& model) {
                    Feature::kExecTime) != model.features.end();
 }
 
+// The learned-state post-pass both trainers share (DESIGN.md §15). For every
+// cluster whose chosen forecaster exposes opaque learned state, trains one
+// instance on the cluster's representative member app and stores the blob
+// in model->cluster_learned_state. `for_each_row(visit)` calls
+// visit(app, raw_features) for every block row the fit saw, grouped by app
+// in ascending order, with app a position in [0, num_apps) (rows of other
+// positions are ignored); `app_demand(app)` returns that app's demand
+// series.
+template <typename ForEachRow, typename AppDemand>
+void FillClusterLearnedState(std::size_t num_apps, const ForEachRow& for_each_row,
+                             const AppDemand& app_demand, FemuxModel* model) {
+  model->cluster_learned_state.clear();
+  if (model->classifier != ClassifierKind::kKMeans) {
+    return;
+  }
+  const std::size_t k = model->cluster_to_forecaster.size();
+  if (k == 0 || !model->scaler.fitted()) {
+    return;
+  }
+  // Which clusters picked a forecaster with trainable opaque state? With
+  // the default (all closed-form) set this finds none and the pass costs a
+  // handful of factory calls.
+  std::vector<bool> needs(k, false);
+  bool any = false;
+  for (std::size_t c = 0; c < k; ++c) {
+    const std::unique_ptr<Forecaster> probe =
+        model->MakeForecaster(model->cluster_to_forecaster[c]);
+    if (probe != nullptr && probe->HasOpaqueState()) {
+      needs[c] = true;
+      any = true;
+    }
+  }
+  if (!any) {
+    return;
+  }
+  model->cluster_learned_state.assign(k, std::string());
+
+  // Representative member of each cluster: the app with the most blocks
+  // the fit classifies into it, ties breaking to the lowest app position.
+  // Rows arrive grouped by app, so one running count per cluster suffices
+  // (O(k) memory however many apps the fleet has).
+  std::vector<std::size_t> rep(k, num_apps);
+  std::vector<std::size_t> best(k, 0);
+  std::vector<std::size_t> run(k, 0);
+  std::size_t current = num_apps;
+  const auto close_app = [&] {
+    for (std::size_t c = 0; c < k; ++c) {
+      if (run[c] > best[c]) {
+        best[c] = run[c];
+        rep[c] = current;
+      }
+      run[c] = 0;
+    }
+  };
+  for_each_row([&](std::size_t a, const std::vector<double>& raw) {
+    if (a >= num_apps) {
+      return;
+    }
+    if (a != current) {
+      close_app();
+      current = a;
+    }
+    const std::size_t c = model->kmeans.Predict(model->scaler.Transform(raw));
+    if (c < k) {
+      ++run[c];
+    }
+  });
+  close_app();
+
+  for (std::size_t c = 0; c < k; ++c) {
+    // Empty clusters keep an empty blob; the serving instance trains from
+    // its own window instead.
+    if (!needs[c] || rep[c] >= num_apps) {
+      continue;
+    }
+    std::unique_ptr<Forecaster> forecaster =
+        model->MakeForecaster(model->cluster_to_forecaster[c]);
+    if (forecaster == nullptr) {
+      continue;
+    }
+    // The one-shot training path every learned forecaster runs on its
+    // first batch call — triggered here offline, then frozen into the
+    // model as an opaque blob.
+    forecaster->Forecast(app_demand(rep[c]), 1);
+    model->cluster_learned_state[c] = forecaster->SaveOpaqueState();
+  }
+}
+
 }  // namespace
 
 PlanCache::Plan PlanCache::GetOrCompute(
@@ -349,78 +437,20 @@ void FitFromRows(const std::vector<std::vector<double>>& rows,
 void TrainClusterLearnedState(const BlockTable& table, const Dataset& dataset,
                               const std::vector<int>& app_indices,
                               const TrainerOptions& options, FemuxModel* model) {
-  model->cluster_learned_state.clear();
-  if (model->classifier != ClassifierKind::kKMeans) {
-    return;
-  }
-  const std::size_t k = model->cluster_to_forecaster.size();
-  if (k == 0 || !model->scaler.fitted()) {
-    return;
-  }
-  // Which clusters picked a forecaster with trainable opaque state? With
-  // the default (all closed-form) set this finds none and the pass costs a
-  // handful of factory calls.
-  std::vector<bool> needs(k, false);
-  bool any = false;
-  for (std::size_t c = 0; c < k; ++c) {
-    const std::unique_ptr<Forecaster> probe =
-        model->MakeForecaster(model->cluster_to_forecaster[c]);
-    if (probe != nullptr && probe->HasOpaqueState()) {
-      needs[c] = true;
-      any = true;
-    }
-  }
-  if (!any) {
-    return;
-  }
-  model->cluster_learned_state.assign(k, std::string());
-
-  // Per-cluster block counts by app, replaying the fit's cluster
-  // assignment over the table.
-  const std::size_t num_apps = table.features.size();
-  std::vector<std::vector<std::size_t>> counts(
-      k, std::vector<std::size_t>(num_apps, 0));
-  for (std::size_t a = 0; a < num_apps; ++a) {
-    for (const std::vector<double>& raw : table.features[a]) {
-      const std::size_t c = model->kmeans.Predict(model->scaler.Transform(raw));
-      if (c < k) {
-        ++counts[c][a];
-      }
-    }
-  }
-
-  for (std::size_t c = 0; c < k; ++c) {
-    if (!needs[c]) {
-      continue;
-    }
-    // Representative member: the app with the most blocks in the cluster
-    // (ties break to the lowest app index; empty clusters keep an empty
-    // blob and the serving instance trains from its own window instead).
-    std::size_t rep = num_apps;
-    std::size_t best = 0;
-    for (std::size_t a = 0; a < num_apps; ++a) {
-      if (counts[c][a] > best) {
-        best = counts[c][a];
-        rep = a;
-      }
-    }
-    if (rep >= num_apps || rep >= app_indices.size()) {
-      continue;
-    }
-    const AppTrace& app =
-        dataset.apps[static_cast<std::size_t>(app_indices[rep])];
-    const std::vector<double> demand = DemandSeries(app, options.sim.epoch_seconds);
-    std::unique_ptr<Forecaster> forecaster =
-        model->MakeForecaster(model->cluster_to_forecaster[c]);
-    if (forecaster == nullptr) {
-      continue;
-    }
-    // The one-shot training path every learned forecaster runs on its
-    // first batch call — triggered here offline, then frozen into the
-    // model as an opaque blob.
-    forecaster->Forecast(demand, 1);
-    model->cluster_learned_state[c] = forecaster->SaveOpaqueState();
-  }
+  FillClusterLearnedState(
+      std::min(table.features.size(), app_indices.size()),
+      [&table](const auto& visit) {
+        for (std::size_t a = 0; a < table.features.size(); ++a) {
+          for (const std::vector<double>& raw : table.features[a]) {
+            visit(a, raw);
+          }
+        }
+      },
+      [&](std::size_t a) {
+        return DemandSeries(dataset.apps[static_cast<std::size_t>(app_indices[a])],
+                            options.sim.epoch_seconds);
+      },
+      model);
 }
 
 void MergeBlockTables(BlockTable* base, const BlockTable& extra) {
@@ -463,7 +493,8 @@ StreamTrainResult TrainFemuxStream(const TraceSource& source, const Rum& rum,
   // resident BlockTable element for element.
   std::vector<std::vector<double>> rows;
   std::vector<std::vector<double>> row_rums;
-  std::vector<std::size_t> row_ids;  // Global block index of each kept row.
+  std::vector<std::size_t> row_ids;   // Global block index of each kept row.
+  std::vector<std::size_t> row_apps;  // Source app index of each kept row.
   std::size_t stride = 1;
 
   const auto sim_start = std::chrono::steady_clock::now();
@@ -491,7 +522,7 @@ StreamTrainResult TrainFemuxStream(const TraceSource& source, const Rum& rum,
       },
       [&](std::size_t, std::vector<AppBlockRows>&& chunk) {
         for (AppBlockRows& app_rows : chunk) {
-          ++result.apps;
+          const std::size_t app = result.apps++;  // Folded in app-index order.
           for (std::size_t b = 0; b < app_rows.rum.size(); ++b) {
             const std::size_t id = result.blocks_seen++;
             if (id % stride != 0) {
@@ -500,6 +531,7 @@ StreamTrainResult TrainFemuxStream(const TraceSource& source, const Rum& rum,
             rows.push_back(std::move(app_rows.features[b]));
             row_rums.push_back(std::move(app_rows.rum[b]));
             row_ids.push_back(id);
+            row_apps.push_back(app);
             if (stream.max_rows != 0 && rows.size() > stream.max_rows) {
               // Double the stride and re-decimate in place. Which rows
               // survive depends only on their global index, never on
@@ -512,6 +544,7 @@ StreamTrainResult TrainFemuxStream(const TraceSource& source, const Rum& rum,
                     rows[kept] = std::move(rows[r]);
                     row_rums[kept] = std::move(row_rums[r]);
                     row_ids[kept] = row_ids[r];
+                    row_apps[kept] = row_apps[r];
                   }
                   ++kept;
                 }
@@ -519,6 +552,7 @@ StreamTrainResult TrainFemuxStream(const TraceSource& source, const Rum& rum,
               rows.resize(kept);
               row_rums.resize(kept);
               row_ids.resize(kept);
+              row_apps.resize(kept);
             }
           }
         }
@@ -529,6 +563,19 @@ StreamTrainResult TrainFemuxStream(const TraceSource& source, const Rum& rum,
 
   const auto cluster_start = std::chrono::steady_clock::now();
   FitFromRows(rows, row_rums, options, &result.model, &result.cluster_sizes);
+  // Representatives come from the kept rows; the chosen app is regenerated
+  // from the source, since its trace was discarded with its chunk.
+  FillClusterLearnedState(
+      num_apps,
+      [&](const auto& visit) {
+        for (std::size_t r = 0; r < rows.size(); ++r) {
+          visit(row_apps[r], rows[r]);
+        }
+      },
+      [&](std::size_t app) {
+        return DemandSeries(source.MakeApp(app), options.sim.epoch_seconds);
+      },
+      &result.model);
   result.clustering_seconds = SecondsSince(cluster_start);
   return result;
 }

@@ -124,7 +124,8 @@ void FitFromTable(const BlockTable& table, const TrainerOptions& options,
 // blocks classified into the cluster) and stores the blob in
 // model->cluster_learned_state, so serving never trains online. No-op when
 // no candidate forecaster is learned — training with the default set is
-// unchanged. TrainFemux calls this automatically.
+// unchanged. TrainFemux calls this automatically, and TrainFemuxStream runs
+// the same pass over its kept rows.
 void TrainClusterLearnedState(const BlockTable& table, const Dataset& dataset,
                               const std::vector<int>& app_indices,
                               const TrainerOptions& options, FemuxModel* model);
@@ -141,11 +142,14 @@ void FitFromRows(const std::vector<std::vector<double>>& rows,
 // simulated, and block-scored chunk by chunk, and only the flattened block
 // rows are retained — the per-app traces, series, and plans are discarded
 // with each chunk, so peak memory is O(chunk + retained rows) instead of
-// O(fleet).
+// O(fleet). After the fit, each learned cluster's representative app (see
+// TrainClusterLearnedState) is picked from the kept rows and regenerated
+// from the source to train its state.
 struct StreamTrainOptions {
   std::size_t chunk_apps = 16;  // Apps per generation/scoring chunk (0 = 16).
-  // Cap on retained block rows. 0 keeps every row, making the fit
-  // bit-identical to TrainFemux over the materialized dataset. When the
+  // Cap on retained block rows. 0 keeps every row, making the model
+  // (learned state included) bit-identical to TrainFemux over the
+  // materialized dataset. When the
   // retained set would exceed the cap, the keep-stride doubles and retained
   // rows are re-decimated — deterministic for any thread count and chunk
   // size (rows are folded in app-index order; decimation depends only on a

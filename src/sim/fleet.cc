@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <utility>
 
-#include "src/sim/parallel.h"
+#include "src/sim/fleet_stream.h"
+#include "src/trace/stream.h"
 
 namespace femux {
 
@@ -101,147 +100,33 @@ void ArrivalSeriesInto(const AppTrace& app, double epoch_seconds,
   }
 }
 
-namespace {
-
-// Resident weight of one cache entry: both series' payloads plus fixed
-// bookkeeping overhead (map node, list node, control blocks).
-std::size_t SeriesWeight(const SeriesCache::Series& series) {
-  constexpr std::size_t kOverheadBytes = 192;
-  const std::size_t doubles =
-      (series.demand ? series.demand->size() : 0) +
-      (series.arrivals ? series.arrivals->size() : 0);
-  return doubles * sizeof(double) + kOverheadBytes;
-}
-
-}  // namespace
-
-SeriesCache::SeriesCache() {
-  if (const char* env = std::getenv("FEMUX_SERIES_CACHE_MB")) {
-    const long mb = std::strtol(env, nullptr, 10);
-    if (mb > 0) {
-      budget_ = static_cast<std::size_t>(mb) * (1u << 20);
-    }
-  }
-}
-
-SeriesCache::Series SeriesCache::GetOrCompute(const AppTrace& app, int app_index,
-                                              double epoch_seconds) {
-  const Key key{app_index, std::llround(epoch_seconds * 1000.0)};
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      ++hits_;
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      return it->second.series;
-    }
-    // A miss per computing caller: racing first callers each pay the
-    // computation below, so the counter reflects work actually done.
-    ++misses_;
-  }
-  // Compute outside the lock; concurrent first callers may duplicate the
-  // work, but the first insert wins and all callers share one copy.
-  Series series;
-  series.demand =
-      std::make_shared<const std::vector<double>>(DemandSeries(app, epoch_seconds));
-  series.arrivals =
-      std::make_shared<const std::vector<double>>(ArrivalSeries(app, epoch_seconds));
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    return it->second.series;
-  }
-  lru_.push_front(key);
-  const std::size_t weight = SeriesWeight(series);
-  entries_.emplace(key, Entry{series, lru_.begin(), weight});
-  weight_ += weight;
-  while (weight_ > budget_ && entries_.size() > 1) {
-    const Key victim = lru_.back();
-    if (victim == key) {
-      break;  // Never evict the entry just requested.
-    }
-    const auto vit = entries_.find(victim);
-    weight_ -= vit->second.weight;
-    entries_.erase(vit);
-    lru_.pop_back();
-    ++evictions_;
-  }
-  return series;
-}
-
-std::size_t SeriesCache::SetBudget(std::size_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::exchange(budget_, bytes);
-}
-
-void SeriesCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  evictions_ += entries_.size();
-  entries_.clear();
-  lru_.clear();
-  weight_ = 0;
-}
-
-std::size_t SeriesCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
-SeriesCache::Stats SeriesCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Stats stats;
-  stats.hits = hits_;
-  stats.misses = misses_;
-  stats.evictions = evictions_;
-  stats.entries = entries_.size();
-  stats.bytes = weight_;
-  return stats;
-}
-
 FleetResult SimulateFleet(const Dataset& dataset, const PolicyFactory& factory,
                           SimOptions options, bool respect_app_min_scale,
-                          std::size_t threads, SeriesCache* series_cache) {
+                          std::size_t threads) {
+  const DatasetTraceSource source(dataset);
   FleetResult result;
   result.per_app.resize(dataset.apps.size());
-  ParallelFor(
-      dataset.apps.size(),
-      [&](std::size_t i) {
-        const AppTrace& app = dataset.apps[i];
-        SimOptions app_options = options;
-        app_options.min_scale = respect_app_min_scale ? app.config.min_scale : 0;
-        app_options.memory_gb_per_unit =
-            app.consumed_memory_mb > 0.0 ? app.consumed_memory_mb / 1024.0
-                                         : options.memory_gb_per_unit;
-        std::shared_ptr<const std::vector<double>> demand;
-        std::shared_ptr<const std::vector<double>> arrivals;
-        if (series_cache != nullptr) {
-          SeriesCache::Series series = series_cache->GetOrCompute(
-              app, static_cast<int>(i), app_options.epoch_seconds);
-          demand = std::move(series.demand);
-          arrivals = std::move(series.arrivals);
-        } else {
-          demand = std::make_shared<const std::vector<double>>(
-              DemandSeries(app, app_options.epoch_seconds));
-          arrivals = std::make_shared<const std::vector<double>>(
-              ArrivalSeries(app, app_options.epoch_seconds));
-        }
-        std::unique_ptr<ScalingPolicy> policy = factory(static_cast<int>(i));
-        result.per_app[i] = SimulateApp(*demand, *arrivals, *policy, app_options);
-      },
-      threads);
-  for (const SimMetrics& m : result.per_app) {
-    result.total += m;
-  }
+  FleetStreamOptions stream;
+  stream.sim = options;
+  stream.respect_app_min_scale = respect_app_min_scale;
+  stream.threads = threads;
+  // One app per ticket load-balances uneven apps; a resident run keeps
+  // every row anyway, so the fold may hold all of them back.
+  stream.chunk_apps = 1;
+  stream.max_pending_chunks = dataset.apps.size();
+  stream.per_app_sink = [&result](std::size_t i, const SimMetrics& row) {
+    result.per_app[i] = row;
+  };
+  result.total = SimulateFleetStream(source, factory, stream).total;
   return result;
 }
 
 FleetResult SimulateFleetUniform(const Dataset& dataset, const ScalingPolicy& prototype,
                                  const SimOptions& options, bool respect_app_min_scale,
-                                 std::size_t threads, SeriesCache* series_cache) {
+                                 std::size_t threads) {
   return SimulateFleet(
       dataset, [&prototype](int) { return prototype.Clone(); }, options,
-      respect_app_min_scale, threads, series_cache);
+      respect_app_min_scale, threads);
 }
 
 }  // namespace femux

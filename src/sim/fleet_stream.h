@@ -1,20 +1,23 @@
-// Streaming fleet simulation: simulate arbitrarily large fleets under a
-// fixed memory budget.
+// Streaming fleet simulation: the one fleet loop. Simulates arbitrarily
+// large fleets under a fixed memory budget.
 //
-// SimulateFleet (fleet.h) materializes the whole dataset and a per-app
-// metrics vector — fine at 32 apps, fatal at 10^5+. SimulateFleetStream
-// instead pulls apps lazily from a TraceSource in contiguous index chunks:
-// each worker generates a chunk's traces, expands its series, simulates it,
-// and hands a small vector of per-app metrics to an ordered fold that
-// accumulates the fleet total in strict app-index order before the chunk is
-// discarded. Peak residency is O(threads x chunk) regardless of fleet size.
+// SimulateFleetStream pulls apps lazily from a TraceSource in contiguous
+// index chunks: each worker generates a chunk's traces into its
+// thread-local arena, expands their series there, simulates them, and
+// hands a small vector of per-app metrics to an ordered fold that
+// accumulates the fleet total in strict app-index order before the chunk
+// is discarded. Peak residency is O(threads x chunk) regardless of fleet
+// size. The resident SimulateFleet (fleet.h) is this loop over a
+// DatasetTraceSource with one app per chunk and a per_app_sink that keeps
+// every row.
 //
-// Determinism contract: identical to the resident path. Per-app metrics
-// depend only on (source, factory, options); the total is folded in the
-// same app-index order SimulateFleet reduces in, so for any thread count
-// and any chunk size the result is bit-identical to
-// SimulateFleet(source.Materialize(), ...) — regression-tested in
-// tests/sim/fleet_stream_test.cc and gated in bench/bench_fleet_scale.
+// Determinism contract: per-app metrics depend only on (source, factory,
+// options), and the total is folded in app-index order, so for any thread
+// count, chunk size and pending bound the result is bit-identical to a
+// serial app-order loop of DemandSeries -> SimulateApp — regression-tested
+// in tests/sim/fleet_test.cc, tests/sim/fleet_stream_test.cc and the golden
+// matrix in tests/sim/fleet_determinism_test.cc, and gated in
+// bench/bench_fleet_scale.
 #ifndef SRC_SIM_FLEET_STREAM_H_
 #define SRC_SIM_FLEET_STREAM_H_
 
@@ -39,14 +42,6 @@ struct FleetStreamOptions {
   // stalls the frontier — without it, held-back results scale with
   // thread-count skew instead of with the configured chunk size.
   std::size_t max_pending_chunks = 0;
-  // Optional bounded series cache. Useful when the same source is swept
-  // MORE THAN ONCE (training pass + simulation pass, or several policies
-  // over one fleet): the second consumer hits series the first computed.
-  // A single-pass sweep visits each (app, epoch) key exactly once, so every
-  // lookup misses by construction — single-pass callers should pass null
-  // and take the zero-allocation arena path instead (DESIGN.md §14;
-  // pinned in tests/sim/fleet_stream_test.cc).
-  SeriesCache* series_cache = nullptr;
   // Optional observer invoked once per app in strict app-index order — the
   // streaming replacement for FleetResult::per_app. Runs under the fold
   // lock; keep it cheap.

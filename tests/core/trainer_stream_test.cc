@@ -4,6 +4,8 @@
 // materialized dataset, for any chunk size and thread count. With a row
 // cap, the stride-doubling decimation depends only on a row's global
 // index, so the capped fit is deterministic across chunking/threading too.
+// Both hold for the learned post-pass as well: a candidate set of learned
+// forecasters alone must yield the same trained state either way.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -51,37 +53,54 @@ std::string ModelBytes(const FemuxModel& model, const std::string& tag) {
   return bytes.str();
 }
 
+// A candidate set of the learned forecaster alone makes every non-empty
+// cluster's winner learned, so the model must carry trained state.
+TrainerOptions LearnedOnlyTrainer() {
+  TrainerOptions options = CompactTrainer();
+  options.forecaster_names = {"linear_state"};
+  return options;
+}
+
 TEST(TrainerStreamTest, UncappedStreamIsBitIdenticalToBatchTrainer) {
   const AzureGeneratorOptions gen = SmallFleet();
   const AzureTraceSource source(gen);
   const Dataset dataset = GenerateAzureDataset(gen);
-  const TrainerOptions trainer = CompactTrainer();
 
   std::vector<int> all_apps;
   for (std::size_t i = 0; i < dataset.apps.size(); ++i) {
     all_apps.push_back(static_cast<int>(i));
   }
-  const TrainResult batch = TrainFemux(dataset, all_apps, Rum::Default(), trainer);
-  const std::string batch_bytes = ModelBytes(batch.model, "batch");
+  for (const bool learned : {false, true}) {
+    SCOPED_TRACE(learned ? "linear_state only" : "closed-form set");
+    const TrainerOptions trainer = learned ? LearnedOnlyTrainer() : CompactTrainer();
+    const TrainResult batch = TrainFemux(dataset, all_apps, Rum::Default(), trainer);
+    const std::string batch_bytes = ModelBytes(batch.model, "batch");
+    if (learned) {
+      // The learned case only tests something if the batch model has state.
+      ASSERT_FALSE(batch.model.cluster_learned_state.empty());
+    }
 
-  std::size_t expected_blocks = 0;
-  for (const auto& app_rows : batch.table.rum) {
-    expected_blocks += app_rows.size();
-  }
+    std::size_t expected_blocks = 0;
+    for (const auto& app_rows : batch.table.rum) {
+      expected_blocks += app_rows.size();
+    }
 
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{16}}) {
-    SCOPED_TRACE("chunk=" + std::to_string(chunk));
-    StreamTrainOptions stream;
-    stream.chunk_apps = chunk;
-    const StreamTrainResult streamed =
-        TrainFemuxStream(source, Rum::Default(), trainer, stream);
-    EXPECT_EQ(streamed.apps, dataset.apps.size());
-    EXPECT_EQ(streamed.blocks_seen, expected_blocks);
-    EXPECT_EQ(streamed.rows_kept, expected_blocks);
-    EXPECT_EQ(streamed.row_stride, 1u);
-    EXPECT_EQ(ModelBytes(streamed.model, "stream_c" + std::to_string(chunk)),
-              batch_bytes);
-    EXPECT_EQ(streamed.cluster_sizes, batch.cluster_sizes);
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{16}}) {
+      SCOPED_TRACE("chunk=" + std::to_string(chunk));
+      StreamTrainOptions stream;
+      stream.chunk_apps = chunk;
+      const StreamTrainResult streamed =
+          TrainFemuxStream(source, Rum::Default(), trainer, stream);
+      EXPECT_EQ(streamed.apps, dataset.apps.size());
+      EXPECT_EQ(streamed.blocks_seen, expected_blocks);
+      EXPECT_EQ(streamed.rows_kept, expected_blocks);
+      EXPECT_EQ(streamed.row_stride, 1u);
+      EXPECT_EQ(streamed.model.cluster_learned_state,
+                batch.model.cluster_learned_state);
+      EXPECT_EQ(ModelBytes(streamed.model, "stream_c" + std::to_string(chunk)),
+                batch_bytes);
+      EXPECT_EQ(streamed.cluster_sizes, batch.cluster_sizes);
+    }
   }
 }
 

@@ -1,11 +1,12 @@
 #include "src/sim/fleet.h"
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -101,17 +102,57 @@ TEST(FleetTest, AggregatesPerAppMetrics) {
   EXPECT_GT(result.total.invocations, 0.0);
 }
 
+std::array<double, 8> Fields(const SimMetrics& m) {
+  return {m.invocations,        m.cold_starts,          m.cold_invocations,
+          m.cold_start_seconds, m.wasted_gb_seconds,    m.allocated_gb_seconds,
+          m.execution_seconds,  m.service_seconds};
+}
+
+void ExpectBitIdentical(const SimMetrics& a, const SimMetrics& b,
+                        const std::string& label) {
+  const auto fa = Fields(a);
+  const auto fb = Fields(b);
+  for (std::size_t f = 0; f < fa.size(); ++f) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fa[f]), std::bit_cast<std::uint64_t>(fb[f]))
+        << label << " field " << f << ": " << fa[f] << " vs " << fb[f];
+  }
+}
+
+// SimulateFleet is an adapter over the streaming fold, so comparing two of
+// its thread counts would only check the fold against itself. The oracle
+// is a plain serial loop outside the fold: expand each app's series,
+// simulate it, and sum the rows in app order.
 TEST(FleetTest, DeterministicAcrossThreadCounts) {
   const Dataset data = SmallDataset();
   ForecasterPolicy prototype(std::make_unique<KeepAliveForecaster>(5));
-  const FleetResult serial = SimulateFleetUniform(data, prototype, SimOptions{},
-                                                  /*respect_app_min_scale=*/false,
-                                                  /*threads=*/1);
-  const FleetResult parallel = SimulateFleetUniform(data, prototype, SimOptions{},
-                                                    /*respect_app_min_scale=*/false,
-                                                    /*threads=*/8);
-  EXPECT_DOUBLE_EQ(serial.total.cold_starts, parallel.total.cold_starts);
-  EXPECT_DOUBLE_EQ(serial.total.wasted_gb_seconds, parallel.total.wasted_gb_seconds);
+  const SimOptions options;
+  FleetResult reference;
+  for (const AppTrace& app : data.apps) {
+    SimOptions app_options = options;
+    app_options.min_scale = 0;
+    app_options.memory_gb_per_unit = app.consumed_memory_mb > 0.0
+                                         ? app.consumed_memory_mb / 1024.0
+                                         : options.memory_gb_per_unit;
+    const std::unique_ptr<ScalingPolicy> policy = prototype.Clone();
+    reference.per_app.push_back(
+        SimulateApp(DemandSeries(app, options.epoch_seconds),
+                    ArrivalSeries(app, options.epoch_seconds), *policy, app_options));
+    reference.total += reference.per_app.back();
+  }
+  ASSERT_GT(reference.total.invocations, 0.0);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{0}, std::size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const FleetResult fleet =
+        SimulateFleetUniform(data, prototype, options,
+                             /*respect_app_min_scale=*/false, threads);
+    ASSERT_EQ(fleet.per_app.size(), reference.per_app.size());
+    for (std::size_t i = 0; i < fleet.per_app.size(); ++i) {
+      ExpectBitIdentical(reference.per_app[i], fleet.per_app[i],
+                         "app " + std::to_string(i));
+    }
+    ExpectBitIdentical(reference.total, fleet.total, "total");
+  }
 }
 
 TEST(FleetTest, RespectingMinScaleReducesColdStartsAndAddsWaste) {
@@ -138,108 +179,6 @@ TEST(FleetTest, PerAppPolicyFactoryReceivesIndices) {
   for (int s : seen) {
     EXPECT_EQ(s, 1);
   }
-}
-
-TEST(SeriesCacheTest, CachedFleetMatchesUncached) {
-  const Dataset data = SmallDataset();
-  ForecasterPolicy prototype(std::make_unique<MovingAverageForecaster>(3));
-  const FleetResult plain = SimulateFleetUniform(data, prototype, SimOptions{});
-  SeriesCache cache;
-  const FleetResult first =
-      SimulateFleetUniform(data, prototype, SimOptions{}, false, 0, &cache);
-  const FleetResult second =
-      SimulateFleetUniform(data, prototype, SimOptions{}, false, 0, &cache);
-  EXPECT_EQ(cache.size(), data.apps.size());
-  ASSERT_EQ(plain.per_app.size(), first.per_app.size());
-  for (std::size_t i = 0; i < plain.per_app.size(); ++i) {
-    EXPECT_DOUBLE_EQ(plain.per_app[i].cold_starts, first.per_app[i].cold_starts);
-    EXPECT_DOUBLE_EQ(plain.per_app[i].wasted_gb_seconds,
-                     first.per_app[i].wasted_gb_seconds);
-    EXPECT_DOUBLE_EQ(second.per_app[i].cold_starts, first.per_app[i].cold_starts);
-    EXPECT_DOUBLE_EQ(second.per_app[i].wasted_gb_seconds,
-                     first.per_app[i].wasted_gb_seconds);
-  }
-}
-
-TEST(SeriesCacheTest, KeyedByAppAndEpoch) {
-  const Dataset data = SmallDataset();
-  SeriesCache cache;
-  const AppTrace& app = data.apps.front();
-  const SeriesCache::Series minute = cache.GetOrCompute(app, 0, 60.0);
-  const SeriesCache::Series coarse = cache.GetOrCompute(app, 0, 120.0);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_NE(minute.demand->size(), coarse.demand->size());
-  // Repeat lookups share the already-computed series.
-  EXPECT_EQ(cache.GetOrCompute(app, 0, 60.0).demand.get(), minute.demand.get());
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(SeriesCacheTest, CountersAccountForEveryLookup) {
-  const Dataset data = SmallDataset();
-  SeriesCache cache;
-  const SeriesCache::Stats empty = cache.stats();
-  EXPECT_EQ(empty.hits, 0u);
-  EXPECT_EQ(empty.misses, 0u);
-  EXPECT_EQ(empty.evictions, 0u);
-  EXPECT_EQ(empty.entries, 0u);
-
-  cache.GetOrCompute(data.apps[0], 0, 60.0);  // miss
-  cache.GetOrCompute(data.apps[0], 0, 60.0);  // hit
-  cache.GetOrCompute(data.apps[1], 1, 60.0);  // miss
-  cache.GetOrCompute(data.apps[0], 0, 120.0); // miss (distinct epoch)
-  const SeriesCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 3u);
-  EXPECT_EQ(stats.entries, 3u);
-  EXPECT_EQ(stats.evictions, 0u);
-
-  cache.Clear();
-  const SeriesCache::Stats cleared = cache.stats();
-  EXPECT_EQ(cleared.evictions, 3u);
-  EXPECT_EQ(cleared.entries, 0u);
-  // hits/misses are monotonic across the cache's lifetime.
-  EXPECT_EQ(cleared.hits, stats.hits);
-  EXPECT_EQ(cleared.misses, stats.misses);
-
-  cache.GetOrCompute(data.apps[0], 0, 60.0);  // re-miss after eviction
-  EXPECT_EQ(cache.stats().misses, 4u);
-}
-
-// Thread-hammer: hits + misses must equal the exact number of GetOrCompute
-// calls even under contention, and every counter stays monotone. Racing
-// first lookups on one key may each count a miss (documented), which the
-// exact accounting below still covers: hits + misses == calls regardless of
-// how the race resolves.
-TEST(SeriesCacheTest, CountersAtomicUnderConcurrentHammer) {
-  const Dataset data = SmallDataset();
-  SeriesCache cache;
-  constexpr std::size_t kThreads = 8;
-  constexpr std::size_t kIterations = 200;
-  constexpr std::size_t kKeys = 5;  // Few keys -> heavy same-key contention.
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&cache, &data, t] {
-      for (std::size_t i = 0; i < kIterations; ++i) {
-        const std::size_t key = (t + i) % kKeys;
-        const SeriesCache::Series series =
-            cache.GetOrCompute(data.apps[key], static_cast<int>(key), 60.0);
-        ASSERT_NE(series.demand, nullptr);
-        ASSERT_NE(series.arrivals, nullptr);
-      }
-    });
-  }
-  for (std::thread& w : workers) {
-    w.join();
-  }
-  const SeriesCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses, kThreads * kIterations);
-  EXPECT_EQ(stats.entries, kKeys);
-  EXPECT_GE(stats.misses, kKeys);  // At least one computation per key.
-  EXPECT_EQ(stats.evictions, 0u);
-  cache.Clear();
-  EXPECT_EQ(cache.stats().evictions, kKeys);
 }
 
 // Clone() audit (DESIGN.md §10): a policy clone must not share mutable
